@@ -7,13 +7,15 @@
 //! *complete, untruncated* runs are inserted, so a hit can serve any
 //! request (budget-limited callers get a prefix of the cached list,
 //! which is by construction the same prefix a fresh truncated run would
-//! emit).
+//! emit). The fingerprint is [`store::fingerprint`], re-exported here;
+//! the service computes it once per named dataset when the dataset is
+//! resolved or warm-started, not once per request.
 //!
 //! Eviction is least-recently-used via a monotonic stamp; the map is a
 //! `BTreeMap` so iteration during eviction is deterministic (the R3
 //! `deterministic-iteration` rule of the emission path).
 //!
-//! Every entry carries an FNV checksum of its pattern list, computed at
+//! Every entry carries a [`checksum`] of its pattern list, computed at
 //! insert and verified on every probe. A cached answer is served to
 //! arbitrarily many callers, so a corrupted entry (a flipped bit, a
 //! truncated list — whatever the cause) must never leave the cache:
@@ -21,64 +23,100 @@
 //! reports [`Lookup::Corrupt`] so the service re-mines instead of
 //! serving poison.
 //!
+//! A probe is two steps. The *lookup* — map search, TTL check, LRU
+//! stamp, `Arc` clone — is the only part that needs the cache mutably;
+//! the *verification* re-hashes the list behind the cloned `Arc`, which
+//! is immutable, so it needs no lock at all. The service shares each
+//! shard's cache behind a `Mutex` and probes it through
+//! [`probe_shared`]: the lock covers the lookup only, and verification
+//! runs after it is released, so a hit on a large result no longer
+//! stalls every other request of the shard. A corrupt entry is dropped
+//! under a second short lock, and only if the slot still holds the same
+//! `Arc` — a fresh result inserted meanwhile is never thrown away.
+//!
+//! The checksum is word-wise: each itemset's length, support and items
+//! (two `u32`s per word) are folded into four independent lanes, so the
+//! multiply chains overlap instead of running one byte at a time.
+//!
 //! On top of the entry-count bound, [`CacheConfig`] adds two budgets:
 //! a **byte budget** (`max_bytes`) that evicts LRU entries until the
 //! approximate heap footprint fits, and a **TTL** after which a probe
 //! reads the entry as [`Lookup::Expired`] — dropped and re-mined, and
 //! counted as a *miss* (never a hit) in the service's probe arithmetic.
 
-use fpm::{ItemsetCount, QueryKey, TransactionDb};
+use fpm::faults::mix;
+use fpm::{ItemsetCount, QueryKey};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+pub use store::fingerprint;
 
 /// `(dataset fingerprint, kernel code, min_support, query key)`.
 pub type CacheKey = (u64, u8, u64, QueryKey);
 
-/// FNV-1a over the full transaction content — shape and items — so two
-/// datasets collide only with 64-bit-hash probability. Deterministic
-/// across runs and platforms.
-pub fn fingerprint(db: &TransactionDb) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(db.len() as u64);
-    for t in db.transactions() {
-        eat(t.len() as u64);
-        for &item in t {
-            eat(item as u64);
-        }
-    }
-    h
+/// Odd multiplier of a checksum lane step (the 64-bit golden ratio).
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Distinct start states, so no two lanes hash a stream alike.
+const LANE_SEEDS: [u64; 4] = [
+    0xcbf2_9ce4_8422_2325,
+    0x8422_2325_cbf2_9ce4,
+    0x2545_f491_4f6c_dd1d,
+    0x4f6c_dd1d_2545_f491,
+];
+
+/// One lane step. For a fixed word it is a bijection of the lane state,
+/// and for a fixed state a bijection of the word, so changing any one
+/// word of a lane's stream always changes the lane's final state.
+#[inline(always)]
+fn step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(LANE_MUL).rotate_left(27)
 }
 
-/// FNV-1a over a pattern list — length, items, and supports — the
-/// integrity stamp each cache entry carries from insert to probe.
+/// Up to two items as one word, the first in the low half.
+#[inline(always)]
+fn pack(items: &[u32]) -> u64 {
+    items
+        .iter()
+        .rev()
+        .fold(0, |word, &item| word << 32 | u64::from(item))
+}
+
+/// Word-wise hash of a pattern list — length, itemset lengths, items and
+/// supports — the integrity stamp each cache entry carries from insert
+/// to probe.
+///
+/// Four independent lanes: lane 0 takes the list length and each
+/// itemset's length, lane 1 each support, lanes 2 and 3 the items two to
+/// a word, alternating. The length words make the split of the item
+/// words between itemsets unambiguous, so `[a,b][c]` and `[a][b,c]`
+/// hash apart. The lanes are folded through the SplitMix64 finalizer,
+/// which keeps the result a bijection of each lane: a change to any
+/// single word (a flipped item, a bumped support) is always detected.
+/// Allocation-free.
+// also-lint: hot
 pub fn checksum(patterns: &[ItemsetCount]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(patterns.len() as u64);
+    let [mut a, mut b, mut c, mut d] = LANE_SEEDS;
+    a = step(a, patterns.len() as u64);
     for p in patterns {
-        eat(p.items.len() as u64);
-        for &item in &p.items {
-            eat(item as u64);
+        a = step(a, p.items.len() as u64);
+        b = step(b, p.support);
+        let quads = p.items.chunks_exact(4);
+        let tail = quads.remainder();
+        for q in quads {
+            c = step(c, pack(&q[..2]));
+            d = step(d, pack(&q[2..]));
         }
-        eat(p.support);
+        let (lo, hi) = tail.split_at(tail.len().min(2));
+        if !lo.is_empty() {
+            c = step(c, pack(lo));
+        }
+        if !hi.is_empty() {
+            d = step(d, pack(hi));
+        }
     }
-    h
+    mix(mix(mix(mix(a) ^ b) ^ c) ^ d)
 }
 
 /// What a [`ResultCache::probe`] found.
@@ -96,6 +134,40 @@ pub enum Lookup {
     Expired,
     /// No entry.
     Miss,
+}
+
+/// What the locked half of a probe found: a fresh entry's list with the
+/// checksum stamped at insert, not yet compared — or, for an expired or
+/// absent entry, the final answer.
+type Found = Result<(Arc<Vec<ItemsetCount>>, u64), Lookup>;
+
+/// The unlocked half of a probe: re-hashes a fresh entry's list and
+/// turns the result into a [`Lookup`]. It needs no lock, since nothing
+/// mutates a list behind a shared `Arc`. On a mismatch `drop_bad` is
+/// handed the bad list so the caller can remove exactly that entry.
+fn settle(found: Found, drop_bad: impl FnOnce(&Arc<Vec<ItemsetCount>>)) -> Lookup {
+    match found {
+        Ok((patterns, sum)) if checksum(&patterns) == sum => Lookup::Hit(patterns),
+        Ok((patterns, _)) => {
+            drop_bad(&patterns);
+            Lookup::Corrupt
+        }
+        Err(done) => done,
+    }
+}
+
+/// [`ResultCache::probe`] on a cache shared behind a `Mutex`. The lock
+/// is held for the lookup only; the checksum pass runs after it is
+/// released. A corrupt entry is dropped under a second lock, and only if
+/// its slot still holds the list that failed.
+pub(crate) fn probe_shared(cache: &Mutex<ResultCache>, key: &CacheKey) -> Lookup {
+    let found = cache.lock().unwrap_or_else(|e| e.into_inner()).lookup(key);
+    settle(found, |bad| {
+        cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove_if_same(key, bad)
+    })
 }
 
 /// Sizing and expiry policy for a [`ResultCache`].
@@ -145,7 +217,8 @@ struct Entry {
 }
 
 /// A bounded LRU map from [`CacheKey`] to a complete pattern list.
-/// Not internally synchronized — the service wraps it in a `Mutex`.
+/// Not internally synchronized — the service wraps it in a `Mutex`
+/// and probes it through [`probe_shared`].
 pub struct ResultCache {
     cfg: CacheConfig,
     clock: u64,
@@ -170,10 +243,17 @@ impl ResultCache {
         }
     }
 
-    /// Looks `key` up, verifying the entry's TTL and checksum; a
-    /// verified hit refreshes its recency, an expired or corrupted
-    /// entry is dropped on the spot.
+    /// Looks `key` up, verifying the entry's TTL and checksum; a fresh
+    /// entry's recency is refreshed, an expired or corrupted entry is
+    /// dropped on the spot. Every hit is verified before it is returned.
     pub fn probe(&mut self, key: &CacheKey) -> Lookup {
+        let found = self.lookup(key);
+        settle(found, |bad| self.remove_if_same(key, bad))
+    }
+
+    /// The locked half of a probe: map lookup, TTL check, LRU stamp and
+    /// an `Arc` clone. The entry it hands out is not yet verified.
+    fn lookup(&mut self, key: &CacheKey) -> Found {
         self.clock += 1;
         let clock = self.clock;
         if let Some(ttl) = self.cfg.ttl {
@@ -183,11 +263,11 @@ impl ResultCache {
                 .is_some_and(|e| e.inserted.elapsed() >= ttl);
             if stale {
                 self.remove(key);
-                return Lookup::Expired;
+                return Err(Lookup::Expired);
             }
         }
         let Some(e) = self.map.get_mut(key) else {
-            return Lookup::Miss;
+            return Err(Lookup::Miss);
         };
         // Chaos injection site: flip bytes of the cached list *before*
         // the integrity check, exactly where rot would land. Only
@@ -198,12 +278,20 @@ impl ResultCache {
         {
             let _ = fpm::faults::corrupt_patterns(Arc::make_mut(&mut e.patterns));
         }
-        if checksum(&e.patterns) != e.checksum {
-            self.remove(key);
-            return Lookup::Corrupt;
-        }
         e.stamp = clock;
-        Lookup::Hit(Arc::clone(&e.patterns))
+        Ok((Arc::clone(&e.patterns), e.checksum))
+    }
+
+    /// Drops the entry for `key` if it still holds `bad` — not a result
+    /// inserted after `bad` was looked up.
+    fn remove_if_same(&mut self, key: &CacheKey, bad: &Arc<Vec<ItemsetCount>>) {
+        if self
+            .map
+            .get(key)
+            .is_some_and(|e| Arc::ptr_eq(&e.patterns, bad))
+        {
+            self.remove(key);
+        }
     }
 
     /// [`probe`](ResultCache::probe) collapsed to an `Option`: corrupt
@@ -332,6 +420,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpm::TransactionDb;
 
     fn pats(n: u64) -> Arc<Vec<ItemsetCount>> {
         Arc::new(vec![ItemsetCount {
@@ -345,13 +434,122 @@ mod tests {
         (fingerprint, kernel, minsup, QueryKey::default())
     }
 
+    /// A list shaped like real output: itemsets of lengths 1 through 6,
+    /// so every tail case of the item packing is exercised.
+    fn sample() -> Vec<ItemsetCount> {
+        (1..=6u32)
+            .flat_map(|len| {
+                (0..2u32).map(move |rep| ItemsetCount {
+                    items: (0..len).map(|i| 10 * len + i + rep).collect(),
+                    support: u64::from(100 - len * 7 - rep),
+                })
+            })
+            .collect()
+    }
+
     #[test]
-    fn fingerprint_distinguishes_contents() {
-        let a = TransactionDb::from_transactions(vec![vec![1, 2], vec![3]]);
-        let b = TransactionDb::from_transactions(vec![vec![1], vec![2, 3]]);
-        let c = TransactionDb::from_transactions(vec![vec![1, 2], vec![3]]);
-        assert_ne!(fingerprint(&a), fingerprint(&b), "same items, split differently");
-        assert_eq!(fingerprint(&a), fingerprint(&c));
+    fn fingerprint_is_the_store_fingerprint() {
+        // One function, pinned to the value artifacts already persist:
+        // FNV-1a over (rows, then each row's length and items) as
+        // little-endian u64 bytes.
+        let db = TransactionDb::from_transactions(vec![vec![1, 2], vec![3]]);
+        assert_eq!(fingerprint(&db), store::fingerprint(&db));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in [2u64, 2, 1, 2, 1, 3] {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(fingerprint(&db), h);
+    }
+
+    #[test]
+    fn every_chaos_corruption_flavour_is_detected() {
+        // The four mutations `fpm::faults::corrupt_patterns` applies,
+        // at every victim index it can pick.
+        let good = sample();
+        let sum = checksum(&good);
+        for idx in 0..good.len() {
+            let mut bumped = good.clone();
+            bumped[idx].support = bumped[idx].support.wrapping_add(1);
+            assert_ne!(checksum(&bumped), sum, "support + 1 at {idx}");
+            let mut flipped = good.clone();
+            flipped[idx].items[0] ^= 1;
+            assert_ne!(checksum(&flipped), sum, "item ^ 1 at {idx}");
+        }
+        let mut halved = good.clone();
+        halved.truncate(good.len() / 2);
+        assert_ne!(checksum(&halved), sum, "truncate to half");
+        assert_ne!(checksum(&[]), sum, "clear");
+        // And through the cache: each flavour reads as Corrupt.
+        let flavours: [fn(&mut Vec<ItemsetCount>); 4] = [
+            |p| p[3].support += 1,
+            |p| p[3].items[0] ^= 1,
+            |p| p.truncate(p.len() / 2),
+            |p| p.clear(),
+        ];
+        let mut c = ResultCache::new(4);
+        for (n, flavour) in flavours.into_iter().enumerate() {
+            c.insert(k(1, 0, 1), Arc::new(sample()));
+            assert!(c.tamper(&k(1, 0, 1), flavour));
+            assert!(matches!(c.probe(&k(1, 0, 1)), Lookup::Corrupt), "flavour {n}");
+            assert!(c.is_empty(), "flavour {n}: the entry is dropped");
+        }
+    }
+
+    #[test]
+    fn swapped_neighbours_are_detected() {
+        let good = sample();
+        for i in 0..good.len() - 1 {
+            let mut swapped = good.clone();
+            swapped.swap(i, i + 1);
+            assert_ne!(checksum(&swapped), checksum(&good), "swap {i},{}", i + 1);
+        }
+    }
+
+    #[test]
+    fn an_item_shifted_across_a_boundary_is_detected() {
+        // `[a,b][c]` vs `[a][b,c]`: same items, same supports, same
+        // order — only the split between the itemsets differs.
+        let set = |items: Vec<u32>| ItemsetCount { items, support: 5 };
+        let left = vec![set(vec![1, 2]), set(vec![3])];
+        let right = vec![set(vec![1]), set(vec![2, 3])];
+        assert_ne!(checksum(&left), checksum(&right));
+        let left = vec![set(vec![1, 2, 3, 4, 5]), set(vec![6])];
+        let right = vec![set(vec![1, 2, 3, 4]), set(vec![5, 6])];
+        assert_ne!(checksum(&left), checksum(&right), "shift past a full word");
+    }
+
+    #[test]
+    fn verification_allocates_nothing() {
+        let list = sample();
+        fpm::alloc_guard::assert_no_alloc(|| checksum(&list));
+        // The whole hit path — lookup, verify, Arc hand-out — too.
+        let mut c = ResultCache::new(4);
+        c.insert(k(1, 0, 1), Arc::new(sample()));
+        let hit = fpm::alloc_guard::assert_no_alloc(|| c.probe(&k(1, 0, 1)));
+        assert!(matches!(hit, Lookup::Hit(_)));
+    }
+
+    #[test]
+    fn a_corrupt_drop_spares_a_result_inserted_meanwhile() {
+        // Verification runs after the lock is released; if a fresh
+        // result replaced the bad entry in between, the re-lock must
+        // not throw the fresh one away.
+        let shared = Mutex::new(ResultCache::new(4));
+        let cache = || shared.lock().unwrap();
+        let key = k(1, 0, 1);
+        cache().insert(key, Arc::new(sample()));
+        cache().tamper(&key, |p| p[0].support += 1);
+        let found = cache().lookup(&key);
+        cache().insert(key, Arc::new(sample()));
+        let got = settle(found, |bad| cache().remove_if_same(&key, bad));
+        assert!(matches!(got, Lookup::Corrupt), "the stale lookup still fails");
+        let kept = probe_shared(&shared, &key);
+        assert!(matches!(kept, Lookup::Hit(_)), "the fresh result survives");
+        cache().tamper(&key, |p| p.truncate(1));
+        assert!(matches!(probe_shared(&shared, &key), Lookup::Corrupt));
+        assert!(cache().is_empty(), "an unreplaced bad entry is dropped");
     }
 
     #[test]

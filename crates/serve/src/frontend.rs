@@ -15,18 +15,36 @@
 //!   connection with non-blocking sockets and per-connection state
 //!   machines. Requests are submitted as [`Ticket`]s and polled with
 //!   [`Ticket::try_wait`], so a slow mining run never parks the
-//!   frontend; meanwhile the loop enforces the *outer* tiers of the
-//!   admission policy — a connection cap (refused connections get one
-//!   rejection line) and a per-client in-flight quota (excess lines get
-//!   rejection responses) — before the service's own queue-depth and
-//!   Geerts-bound tiers even see the request.
+//!   frontend. The loop makes one pass over every connection per
+//!   500 µs tick, on a fixed grid, so a request's latency over the
+//!   wire is its service time rounded up to whole ticks rather than a
+//!   function of how the host schedules the threads. Meanwhile it
+//!   enforces the *outer* tiers of the admission policy — a connection
+//!   cap (refused connections get one rejection line) and a per-client
+//!   in-flight quota (excess lines get rejection responses) — before
+//!   the service's own queue-depth and Geerts-bound tiers even see the
+//!   request.
 
 use crate::request::{parse_request, render_response, MineResponse, MineStats};
 use crate::service::{MineService, Ticket};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Period of [`serve_poll`]'s passes: a request or a finished ticket
+/// waits at most this long (plus the wake-up itself) for the loop.
+const POLL_TICK: Duration = Duration::from_micros(500);
+
+/// How long a [`serve_poll`] loop that started at `anchor` parks after
+/// a pass that ended at `now`: until the next multiple of [`POLL_TICK`]
+/// after `anchor`, never zero. Passes stay on that fixed grid, so a late
+/// wake-up shortens the next park instead of delaying every later pass.
+fn until_next_tick(anchor: Instant, now: Instant) -> Duration {
+    let tick = POLL_TICK.as_nanos();
+    let into = now.saturating_duration_since(anchor).as_nanos() % tick;
+    Duration::from_nanos(u64::try_from(tick - into).unwrap_or(u64::MAX))
+}
 
 /// Drives the line protocol over `input`/`output` until EOF. Each line
 /// is parsed, submitted, and awaited; responses are written in request
@@ -71,6 +89,10 @@ pub fn serve_tcp(
     std::thread::scope(|scope| {
         for (accepted, stream) in listener.incoming().enumerate() {
             let stream = stream?;
+            // One response line per request: send it now instead of
+            // letting Nagle hold it for the client's delayed ACK. Best
+            // effort — the option only costs latency, never correctness.
+            let _ = stream.set_nodelay(true);
             let service = service.clone();
             scope.spawn(move || {
                 // Per-connection I/O errors (client hangup) end that
@@ -162,6 +184,8 @@ struct Conn {
 impl Conn {
     fn new(stream: TcpStream) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
+        // As in `serve_tcp`: responses leave without waiting on Nagle.
+        let _ = stream.set_nodelay(true);
         Ok(Conn {
             stream,
             rbuf: Vec::new(),
@@ -194,9 +218,9 @@ impl Conn {
 
 /// Event-driven TCP frontend: a single thread multiplexes all
 /// connections with non-blocking I/O, submitting requests as tickets
-/// and collecting responses via [`Ticket::try_wait`]. `max_conns`
-/// bounds how many connections are *accepted* in total before the loop
-/// drains and returns — `None` serves forever.
+/// and collecting responses via [`Ticket::try_wait`], one pass per
+/// 500 µs tick. `max_conns` bounds how many connections are *accepted*
+/// in total before the loop drains and returns — `None` serves forever.
 pub fn serve_poll(
     service: &MineService,
     listener: TcpListener,
@@ -207,9 +231,8 @@ pub fn serve_poll(
     let mut stats = FrontendStats::default();
     let mut conns: Vec<Conn> = Vec::new();
     let mut accepted_total: usize = 0;
+    let anchor = Instant::now();
     loop {
-        let mut progressed = false;
-
         // Accept tier: a connection past the open-connection cap — or
         // past the total-served quota, when one is set — is answered
         // with a single rejection line and closed, never left hanging
@@ -217,7 +240,6 @@ pub fn serve_poll(
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    progressed = true;
                     let over_cap = conns.len() >= cfg.max_connections
                         || max_conns.is_some_and(|m| accepted_total >= m);
                     if over_cap {
@@ -238,20 +260,17 @@ pub fn serve_poll(
         // Drive every connection's state machine one step.
         let mut closed: Vec<usize> = Vec::new();
         for (idx, conn) in conns.iter_mut().enumerate() {
-            match step_conn(service, conn, &cfg, &mut stats) {
-                Ok(p) => progressed |= p,
-                // I/O error (client hangup mid-write): cancel whatever
-                // the dead client was still waiting on — the mining
-                // runs stop at their next checkpoint — and close.
-                Err(_) => {
-                    for p in &conn.pending {
-                        if let Pending::Waiting(ticket) = p {
-                            ticket.cancel();
-                        }
+            // I/O error (client hangup mid-write): cancel whatever the
+            // dead client was still waiting on — the mining runs stop at
+            // their next checkpoint — and close.
+            if step_conn(service, conn, &cfg, &mut stats).is_err() {
+                for p in &conn.pending {
+                    if let Pending::Waiting(ticket) = p {
+                        ticket.cancel();
                     }
-                    closed.push(idx);
-                    continue;
                 }
+                closed.push(idx);
+                continue;
             }
             if conn.finished() {
                 closed.push(idx);
@@ -259,17 +278,20 @@ pub fn serve_poll(
         }
         for idx in closed.into_iter().rev() {
             conns.remove(idx);
-            progressed = true;
         }
 
         if max_conns.is_some_and(|m| accepted_total >= m) && conns.is_empty() {
             return Ok(stats);
         }
-        if !progressed {
-            // Nothing moved: park briefly instead of spinning. 500µs
-            // keeps worst-case added latency well under a mining run.
-            std::thread::sleep(Duration::from_micros(500));
-        }
+        // One pass per tick, busy or idle: park until the next tick
+        // instead of spinning. A pass drains everything the sockets
+        // and tickets have ready, so the park only adds latency — at
+        // most one tick per hop, well under a mining run — and never
+        // caps throughput. Passing straight on after a busy pass would
+        // let a reply's next request land in the same tick or the next
+        // depending on which thread the scheduler ran first; on the
+        // fixed grid a hop takes the same number of ticks either way.
+        std::thread::sleep(until_next_tick(anchor, Instant::now()));
     }
 }
 
@@ -286,16 +308,14 @@ fn refuse_connection(mut stream: TcpStream, cap: usize) {
 
 /// One step of a connection's state machine: read what's available,
 /// parse complete lines through the quota tier, promote finished
-/// tickets, and flush what the socket will take. Returns whether any
-/// progress was made; `Err` means the connection is dead.
+/// tickets, and flush what the socket will take. `Err` means the
+/// connection is dead.
 fn step_conn(
     service: &MineService,
     conn: &mut Conn,
     cfg: &FrontendConfig,
     stats: &mut FrontendStats,
-) -> io::Result<bool> {
-    let mut progressed = false;
-
+) -> io::Result<()> {
     // Read tier.
     if !conn.read_closed && !conn.poisoned {
         let mut chunk = [0u8; 4096];
@@ -303,7 +323,6 @@ fn step_conn(
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.read_closed = true;
-                    progressed = true;
                     break;
                 }
                 Ok(n) => {
@@ -313,7 +332,6 @@ fn step_conn(
                     if let Some(read) = chunk.get(..n) {
                         conn.rbuf.extend_from_slice(read);
                     }
-                    progressed = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -330,7 +348,6 @@ fn step_conn(
             if line.trim().is_empty() {
                 continue;
             }
-            progressed = true;
             if conn.inflight() >= cfg.max_inflight_per_conn {
                 stats.quota_rejections += 1;
                 conn.queue_response(&MineResponse::rejected(
@@ -362,7 +379,6 @@ fn step_conn(
                 format!("request line exceeds {} bytes", cfg.max_line_bytes),
                 MineStats::default(),
             ));
-            progressed = true;
         }
     }
 
@@ -379,7 +395,6 @@ fn step_conn(
                     unreachable!()
                 };
                 conn.wbuf.extend_from_slice(line.as_bytes());
-                progressed = true;
             }
             Some(Pending::Waiting(ticket)) => match ticket.try_wait() {
                 Some(resp) => {
@@ -387,7 +402,6 @@ fn step_conn(
                     line.push('\n');
                     conn.wbuf.extend_from_slice(line.as_bytes());
                     conn.pending.pop_front();
-                    progressed = true;
                 }
                 None => break,
             },
@@ -401,7 +415,6 @@ fn step_conn(
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => {
                 conn.wbuf.drain(..n);
-                progressed = true;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -409,7 +422,7 @@ fn step_conn(
         }
     }
 
-    Ok(progressed)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -421,6 +434,20 @@ mod tests {
         format!(
             r#"{{"dataset":{{"inline":[[0,2,5],[1,2,5],[0,2,5],[3,4],[0,1,2,3,4,5]]}},"kernel":"{kernel}","min_support":2{extra}}}"#
         )
+    }
+
+    #[test]
+    fn parks_end_on_the_tick_grid() {
+        let anchor = Instant::now();
+        let us = Duration::from_micros;
+        for late in [Duration::ZERO, us(1), us(499), POLL_TICK, POLL_TICK * 7 + us(130)] {
+            let park = until_next_tick(anchor, anchor + late);
+            assert!(park > Duration::ZERO && park <= POLL_TICK, "{late:?}: {park:?}");
+            assert_eq!((late + park).as_nanos() % POLL_TICK.as_nanos(), 0, "{late:?}");
+        }
+        // A wake-up 130 µs late parks 130 µs less: the lateness does
+        // not carry into the next pass.
+        assert_eq!(until_next_tick(anchor, anchor + POLL_TICK + us(130)), us(370));
     }
 
     #[test]
@@ -472,6 +499,17 @@ mod tests {
         }
         server.join().unwrap().unwrap();
         svc.shutdown();
+    }
+
+    #[test]
+    fn poll_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "accepted sockets start with Nagle on");
+        let conn = Conn::new(accepted).unwrap();
+        assert!(conn.stream.nodelay().unwrap());
+        drop(client);
     }
 
     #[test]

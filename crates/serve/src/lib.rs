@@ -17,8 +17,10 @@
 //!   spine — a stopped run's output is always a contiguous *prefix* of
 //!   the serial emission order, never a scramble;
 //! * an LRU **result cache** keyed by `(dataset fingerprint, kernel,
-//!   min_support)` with optional byte budget and TTL
+//!   min_support, query)` with optional byte budget and TTL
 //!   ([`cache::CacheConfig`]) so repeated queries skip mining entirely;
+//!   every hit is checksum-verified before it is served, after the
+//!   shard's cache lock is released;
 //! * **tiered admission**: connection caps and per-client quotas at the
 //!   frontend, queue-depth backpressure at submit, and the
 //!   Geerts-style candidate bound ([`fpm::bound`]) rejecting requests

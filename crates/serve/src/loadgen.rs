@@ -34,6 +34,7 @@ use fpm::faults::mix;
 use fpm::types::MineKind;
 use fpm::PatternQuery;
 use quest::{Dataset, Scale};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Shape of the offered load. The schedule is a pure function of this
@@ -214,10 +215,21 @@ pub struct LoadReport {
     pub cache_hits: u64,
     /// Responses served by single-flight fan-out.
     pub coalesced: u64,
-    /// Actual kernel executions the run cost the service. With caching
-    /// and single-flight absorbing a gentle schedule this equals the
-    /// number of *distinct* keys offered — the tentpole invariant.
+    /// Actual kernel executions the run cost the service:
+    /// `first_mines + remines`. Timing data — see `remines`.
     pub mined_runs: u64,
+    /// Distinct `(key, query)` pairs whose first complete answer was
+    /// mined in this run. Against a cold service that absorbs the
+    /// schedule this equals the distinct pairs drawn — single-flight
+    /// and the cache keep it exact — so it is deterministic.
+    pub first_mines: u64,
+    /// Every other kernel execution: a pair mined again after its
+    /// entry was evicted or expired, or a run cut short. How many there
+    /// are depends on when evictions land relative to repeats, so this
+    /// is timing data, not pinned.
+    pub remines: u64,
+    /// Cache entries evicted during the run (LRU or byte budget).
+    pub cache_evictions: u64,
     /// Median submit-to-response latency, microseconds.
     pub p50_us: u64,
     /// 95th-percentile latency, microseconds.
@@ -240,10 +252,11 @@ impl LoadReport {
     /// The deterministic half of the report: everything a re-run with
     /// the same seed and config must reproduce exactly (all counts; no
     /// timing). Latency percentiles and throughput are excluded on
-    /// purpose, and so is the *split* between cache hits and coalesced
-    /// fan-outs — whether a repeat lands during or after the first
-    /// run's flight is a race — but their **sum** (requests answered
-    /// without mining) is pinned, as is the mined-run count itself.
+    /// purpose, and so is the three-way *split* of repeat requests into
+    /// cache hits, coalesced fan-outs and re-mines — whether a repeat
+    /// lands during a flight, after it, or after its entry was evicted
+    /// is a race — but their **sum** (requests answered without a first
+    /// mine) is pinned, as is `first_mines`.
     pub fn deterministic_summary(&self) -> (u64, [u64; 8]) {
         (
             self.schedule_digest,
@@ -254,8 +267,8 @@ impl LoadReport {
                 self.cancelled,
                 self.deadline_exceeded,
                 self.failed,
-                self.cache_hits + self.coalesced,
-                self.mined_runs,
+                self.cache_hits + self.coalesced + self.remines,
+                self.first_mines,
             ],
         )
     }
@@ -302,6 +315,9 @@ impl LoadReport {
                     ("hits".into(), num(self.cache_hits)),
                     ("coalesced".into(), num(self.coalesced)),
                     ("mined_runs".into(), num(self.mined_runs)),
+                    ("first_mines".into(), num(self.first_mines)),
+                    ("remines".into(), num(self.remines)),
+                    ("evictions".into(), num(self.cache_evictions)),
                     ("hit_rate".into(), Json::Num(self.hit_rate)),
                 ]),
             ),
@@ -340,7 +356,9 @@ pub fn run(service: &MineService, cfg: &LoadConfig) -> LoadReport {
         requests: arrivals.len() as u64,
         ..LoadReport::default()
     };
-    let mined_before = service.metrics().get("mined_runs");
+    let metrics = service.metrics();
+    let mined_before = metrics.get("mined_runs");
+    let evictions_before = metrics.get("cache_evictions");
     let start = Instant::now();
     let mut tickets: Vec<Ticket> = Vec::with_capacity(arrivals.len());
     for a in &arrivals {
@@ -352,8 +370,14 @@ pub fn run(service: &MineService, cfg: &LoadConfig) -> LoadReport {
         tickets.push(service.submit(key_request(cfg, a.key, a.query)));
     }
     let mut latencies: Vec<u64> = Vec::with_capacity(tickets.len());
-    for ticket in tickets {
+    let mut mined_pairs = BTreeSet::new();
+    for (a, ticket) in arrivals.iter().zip(tickets) {
         let resp = ticket.wait();
+        // A complete answer neither cached nor coalesced was mined for
+        // this request.
+        if resp.outcome == Outcome::Complete && !resp.stats.cache_hit && !resp.stats.coalesced {
+            mined_pairs.insert((a.key, a.query));
+        }
         match resp.outcome {
             Outcome::Complete => report.completed += 1,
             Outcome::Rejected => report.rejected += 1,
@@ -370,7 +394,10 @@ pub fn run(service: &MineService, cfg: &LoadConfig) -> LoadReport {
         latencies.push(resp.stats.service_us);
     }
     let wall = start.elapsed();
-    report.mined_runs = service.metrics().get("mined_runs") - mined_before;
+    report.mined_runs = metrics.get("mined_runs") - mined_before;
+    report.first_mines = mined_pairs.len() as u64;
+    report.remines = report.mined_runs.saturating_sub(report.first_mines);
+    report.cache_evictions = metrics.get("cache_evictions") - evictions_before;
     latencies.sort_unstable();
     report.p50_us = percentile(&latencies, 50.0);
     report.p95_us = percentile(&latencies, 95.0);
@@ -505,17 +532,21 @@ mod tests {
         assert_eq!(report.requests, schedule(&cfg).len() as u64);
         assert_eq!(report.rejected, 0);
         assert_eq!(report.failed, 0);
-        let distinct: std::collections::BTreeSet<(usize, usize)> =
+        let distinct: BTreeSet<(usize, usize)> =
             schedule(&cfg).iter().map(|a| (a.key, a.query)).collect();
+        assert!(distinct.len() <= 32, "fits the default cache: nothing evicts");
+        assert_eq!(report.cache_evictions, 0);
         assert_eq!(
-            report.mined_runs,
+            report.first_mines,
             distinct.len() as u64,
             "cache + single-flight are keyed by the full query tuple"
         );
+        assert_eq!(report.remines, 0, "no eviction, so no second mine");
+        assert_eq!(report.mined_runs, report.first_mines + report.remines);
         assert_eq!(
             report.requests,
-            report.mined_runs + report.cache_hits + report.coalesced,
-            "every request either mined its (key, query) pair once or reused it"
+            report.first_mines + report.remines + report.cache_hits + report.coalesced,
+            "every request either mined its (key, query) pair or reused it"
         );
     }
 
@@ -546,13 +577,13 @@ mod tests {
             report.cache_hits + report.coalesced > 0,
             "a Zipf-skewed schedule must reuse results"
         );
-        let distinct: std::collections::BTreeSet<usize> =
-            schedule(&cfg).iter().map(|a| a.key).collect();
+        let distinct: BTreeSet<usize> = schedule(&cfg).iter().map(|a| a.key).collect();
         assert_eq!(
-            report.mined_runs,
+            report.first_mines,
             distinct.len() as u64,
-            "cache + single-flight bound mining to one run per distinct key"
+            "cache + single-flight bound first mines to one per distinct key"
         );
+        assert_eq!(report.mined_runs, report.first_mines, "8 keys fit: no re-mine");
         assert_eq!(
             report.requests,
             report.mined_runs + report.cache_hits + report.coalesced,

@@ -21,7 +21,11 @@
 //!    pattern queries (class, top-k, rules — DESIGN.md §15) occupy
 //!    distinct slots; a hit answers from
 //!    memory (budget-limited callers get a prefix of the cached list).
-//!    Every entry is checksum-verified on probe — a corrupted entry is
+//!    The fingerprint of a named dataset is computed once, when the
+//!    dataset is generated or warm-started, and kept beside it; inline
+//!    and path datasets are hashed per request. The shard's cache lock
+//!    covers only the map lookup: every entry is checksum-verified on
+//!    probe after the lock is released — a corrupted entry is
 //!    dropped and counted (`cache_integrity_failures`), an entry past
 //!    its TTL is dropped and counted (`cache_expired`); **both count as
 //!    misses**, never hits, and the request falls through to mining.
@@ -63,7 +67,7 @@
 //! the store atomically, so a restart answers previously-cached
 //! requests without re-mining.
 
-use crate::cache::{fingerprint, CacheConfig, CacheKey, Lookup, ResultCache};
+use crate::cache::{fingerprint, probe_shared, CacheConfig, CacheKey, Lookup, ResultCache};
 use crate::request::{DatasetSpec, Kernel, MineRequest, MineResponse, MineStats, Outcome};
 use exec::MinePlan;
 use fpm::control::{MineControl, StopCause};
@@ -198,13 +202,18 @@ struct Shard {
     metrics: Arc<MetricSet>,
 }
 
+/// A resolved dataset and its [`fingerprint`].
+type Resolved = (Arc<TransactionDb>, u64);
+
 struct Inner {
     cfg: ServeConfig,
     shards: Vec<Shard>,
     /// Named (generated) datasets, keyed by `(label, scale factor)` —
-    /// generating DS1 once per server instead of once per request.
-    /// Shared across shards: the transactions are immutable.
-    datasets: Mutex<BTreeMap<(&'static str, usize), Arc<TransactionDb>>>,
+    /// generating DS1 once per server instead of once per request —
+    /// each with its [`fingerprint`], hashed once when the dataset is
+    /// generated or warm-started. Shared across shards: the
+    /// transactions are immutable.
+    datasets: Mutex<BTreeMap<(&'static str, usize), Resolved>>,
     /// Datasets the store layer tracks, keyed by artifact file stem:
     /// the spec plus the artifact generation it was loaded at (0 for
     /// datasets first seen in this process). Shutdown flushes exactly
@@ -451,10 +460,10 @@ impl MineService {
         min_support: u64,
         f: impl FnOnce(&mut Vec<ItemsetCount>),
     ) -> bool {
-        let Ok(db) = resolve_dataset(&self.inner, spec) else {
+        let Ok((_, fp)) = resolve_dataset(&self.inner, spec) else {
             return false;
         };
-        let key: CacheKey = (fingerprint(&db), kernel.code(), min_support, QueryKey::default());
+        let key: CacheKey = (fp, kernel.code(), min_support, QueryKey::default());
         let Some(shard) = self.inner.shards.get(shard_of(spec, self.inner.shards.len())) else {
             return false;
         };
@@ -477,10 +486,10 @@ impl MineService {
         min_support: u64,
         by: Duration,
     ) -> bool {
-        let Ok(db) = resolve_dataset(&self.inner, spec) else {
+        let Ok((_, fp)) = resolve_dataset(&self.inner, spec) else {
             return false;
         };
-        let key: CacheKey = (fingerprint(&db), kernel.code(), min_support, QueryKey::default());
+        let key: CacheKey = (fp, kernel.code(), min_support, QueryKey::default());
         let Some(shard) = self.inner.shards.get(shard_of(spec, self.inner.shards.len())) else {
             return false;
         };
@@ -678,8 +687,8 @@ fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
         return;
     }
 
-    let db = match resolve_dataset(inner, &job.request.dataset) {
-        Ok(db) => db,
+    let (db, fp) = match resolve_dataset(inner, &job.request.dataset) {
+        Ok(resolved) => resolved,
         Err(reason) => {
             m.incr("requests_rejected");
             m.incr("rejected_bad_dataset");
@@ -688,18 +697,19 @@ fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
         }
     };
     let key: CacheKey = (
-        fingerprint(&db),
+        fp,
         job.request.kernel.code(),
         job.request.min_support,
         job.request.query.key(),
     );
 
     // Cache probe before admission: a cached answer is free to serve no
-    // matter how large the search space was. Corrupt and expired
-    // entries have been dropped by the probe; both are misses and the
-    // request falls through to mining.
+    // matter how large the search space was. The shard lock covers the
+    // lookup only; the entry is verified after it is released. Corrupt
+    // and expired entries have been dropped by the probe; both are
+    // misses and the request falls through to mining.
     m.incr("cache_probes");
-    let looked = shard.cache.lock().unwrap_or_else(|e| e.into_inner()).probe(&key);
+    let looked = probe_shared(&shard.cache, &key);
     match looked {
         Lookup::Hit(full) => {
             m.incr("cache_hits");
@@ -765,7 +775,7 @@ fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
     // best-effort. The access is an internal dedup check, not a
     // request-level probe, so it stays out of the cache_probes
     // arithmetic (the request already counted its one probe as a miss).
-    let rechecked = shard.cache.lock().unwrap_or_else(|e| e.into_inner()).probe(&key);
+    let rechecked = probe_shared(&shard.cache, &key);
     if let Lookup::Hit(full) = rechecked {
         let followers = shard
             .inflight
@@ -997,13 +1007,13 @@ fn warm_start(inner: &Inner, dir: &Path) {
             m.incr("store_integrity_failures");
             continue;
         }
-        // Register the dataset: the first request skips generation —
-        // the boot-time "skip prepare" of the tentpole.
+        // Register the dataset with the fingerprint just checked: the
+        // first request skips generation and hashing both.
         inner
             .datasets
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert((dataset.label(), scale.factor()), Arc::clone(&db));
+            .insert((dataset.label(), scale.factor()), (db, artifact.fingerprint));
         inner
             .store_reg
             .lock()
@@ -1055,10 +1065,9 @@ fn flush_store(inner: &Inner) {
         return;
     }
     for (stem, spec, generation) in reg {
-        let Ok(db) = resolve_dataset(inner, &spec) else {
+        let Ok((db, fp)) = resolve_dataset(inner, &spec) else {
             continue;
         };
-        let fp = fingerprint(&db);
         let idx = shard_of(&spec, inner.shards.len());
         let Some(shard) = inner.shards.get(idx) else {
             continue;
@@ -1100,7 +1109,11 @@ fn flush_store(inner: &Inner) {
     }
 }
 
-fn resolve_dataset(inner: &Inner, spec: &DatasetSpec) -> Result<Arc<TransactionDb>, String> {
+/// Resolves a spec to its database and [`fingerprint`]. Named datasets
+/// are generated and hashed once per service and then served from
+/// `Inner::datasets`; inline and path specs are resolved and hashed per
+/// request, since nothing pins their content between requests.
+fn resolve_dataset(inner: &Inner, spec: &DatasetSpec) -> Result<Resolved, String> {
     match spec {
         DatasetSpec::Named { dataset, scale } => {
             let key = (dataset.label(), scale.factor());
@@ -1114,26 +1127,29 @@ fn resolve_dataset(inner: &Inner, spec: &DatasetSpec) -> Result<Arc<TransactionD
                     .entry(named_stem(dataset, scale))
                     .or_insert_with(|| (spec.clone(), 0));
             }
-            if let Some(db) = inner
+            if let Some((db, fp)) = inner
                 .datasets
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .get(&key)
             {
-                return Ok(Arc::clone(db));
+                return Ok((Arc::clone(db), *fp));
             }
-            // Generate outside the lock: generation is the slow part and
-            // the generators are deterministic, so a racing duplicate
-            // insert is harmless.
+            // Generate and hash outside the lock: both are slow and
+            // deterministic, so a racing duplicate insert is harmless.
             let db = Arc::new(dataset.generate(*scale));
+            let fp = fingerprint(&db);
             inner
                 .datasets
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .insert(key, Arc::clone(&db));
-            Ok(db)
+                .insert(key, (Arc::clone(&db), fp));
+            Ok((db, fp))
         }
-        other => other.resolve().map(Arc::new),
+        other => other.resolve().map(|db| {
+            let fp = fingerprint(&db);
+            (Arc::new(db), fp)
+        }),
     }
 }
 
@@ -1276,6 +1292,89 @@ mod tests {
         assert!(third.stats.cache_hit);
         assert_eq!(m.get("cache_integrity_failures"), 1, "no new failure");
         svc.shutdown();
+    }
+
+    #[test]
+    fn tampered_entry_on_a_two_worker_shard_remines() {
+        // Verification runs outside the shard lock, with a sibling
+        // worker free to probe meanwhile: the poison is still caught,
+        // counted once, and answered with a correct re-mine.
+        let svc = MineService::start(ServeConfig {
+            shards: 1,
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let req = || MineRequest::new(toy_spec(), Kernel::Eclat, 2);
+        let cold = svc.mine(req());
+        assert!(svc.tamper_cached(&toy_spec(), Kernel::Eclat, 2, |p| p.truncate(1)));
+        let warm = svc.mine(req());
+        assert_eq!(warm.outcome, Outcome::Complete);
+        assert!(!warm.stats.cache_hit);
+        assert_eq!(warm.patterns, cold.patterns, "re-mined, not the truncated list");
+        let burst: Vec<Ticket> = (0..6).map(|_| svc.submit(req())).collect();
+        for ticket in burst {
+            let resp = ticket.wait();
+            assert!(resp.stats.cache_hit, "the healed slot serves verified hits");
+            assert_eq!(resp.patterns, cold.patterns);
+        }
+        let m = svc.metrics();
+        assert_eq!(m.get("cache_integrity_failures"), 1);
+        assert_eq!(m.get("mined_runs"), 2);
+        svc.shutdown();
+    }
+
+    /// The fingerprints of every cache key on `spec`'s shard.
+    fn cached_fingerprints(svc: &MineService, spec: &DatasetSpec) -> Vec<u64> {
+        let shard = &svc.inner.shards[svc.shard_of(spec)];
+        let cache = shard.cache.lock().unwrap();
+        cache.entries().map(|(k, _)| k.0).collect()
+    }
+
+    #[test]
+    fn cache_keys_carry_the_resolved_datasets_fingerprint() {
+        let dir = std::env::temp_dir().join(format!(
+            "fpm-serve-fp-store-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let named = DatasetSpec::Named {
+            dataset: quest::Dataset::Ds1,
+            scale: quest::Scale::Smoke,
+        };
+        let named_fp = fingerprint(&quest::Dataset::Ds1.generate(quest::Scale::Smoke));
+        let inline_fp = fingerprint(&toy_spec().resolve().unwrap());
+        let cfg = ServeConfig {
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+
+        let first = MineService::start(cfg.clone());
+        for spec in [&named, &toy_spec()] {
+            let (db, fp) = resolve_dataset(&first.inner, spec).unwrap();
+            assert_eq!(fp, fingerprint(&db));
+        }
+        for (spec, minsup) in [(&named, 150), (&toy_spec(), 2)] {
+            let resp = first.mine(MineRequest::new(spec.clone(), Kernel::Lcm, minsup));
+            assert_eq!(resp.outcome, Outcome::Complete);
+        }
+        assert!(cached_fingerprints(&first, &named).contains(&named_fp));
+        assert!(cached_fingerprints(&first, &toy_spec()).contains(&inline_fp));
+        first.shutdown();
+
+        // Warm-started: the memoised fingerprint is the artifact's, and
+        // it still keys the restored entry and a fresh insert alike.
+        let second = MineService::start(cfg);
+        assert_eq!(second.metrics().get("store_artifacts_loaded"), 1);
+        let (db, fp) = resolve_dataset(&second.inner, &named).unwrap();
+        assert_eq!((fp, fingerprint(&db)), (named_fp, named_fp));
+        let hit = second.mine(MineRequest::new(named.clone(), Kernel::Lcm, 150));
+        assert!(hit.stats.cache_hit, "the warm key matches the request's key");
+        let fresh = second.mine(MineRequest::new(named.clone(), Kernel::Eclat, 150));
+        assert!(!fresh.stats.cache_hit);
+        assert_eq!(cached_fingerprints(&second, &named), vec![named_fp, named_fp]);
+        second.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
