@@ -54,8 +54,8 @@ pub const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// query: the base 63-seed `site × kernel × threads` sweep pins it, so
 /// those cases are exactly the pre-query campaign; remix seeds (≥ 63)
 /// draw from the full query-extended matrix and so also drive the
-/// postfilter path (closed class) and the top-k path under every fault
-/// site.
+/// `fpm::query` closed-class filter and the top-k path under every
+/// fault site.
 pub fn campaign_queries() -> [PatternQuery; 3] {
     [
         PatternQuery::all(),
@@ -156,7 +156,7 @@ pub fn golden(kernel: Kernel) -> &'static [u8] {
             });
             assert_eq!(
                 want.hash,
-                goldens::fnv(&bytes),
+                fpm::hash::fnv(&bytes),
                 "{}: serial output diverges from the committed golden \
                  (regen the corpus if the change is intentional)",
                 case.stem()

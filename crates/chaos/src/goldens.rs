@@ -18,6 +18,7 @@
 //! that must be accompanied by a regenerated corpus in the same commit.
 
 use exec::MinePlan;
+use fpm::hash::fnv;
 use fpm::{Kernel, RecordSink};
 use quest::{Dataset, Scale};
 use std::collections::BTreeMap;
@@ -130,16 +131,6 @@ pub fn corpus() -> Vec<GoldenCase> {
 /// Where the corpus lives: `tests/goldens/` at the workspace root.
 pub fn dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
-}
-
-/// FNV-1a over raw bytes — the corpus digest function.
-pub fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The first `lines` whole lines of `bytes` (all of them when there are
@@ -293,13 +284,6 @@ mod tests {
         assert_eq!(prefix_of(bytes, 99), bytes, "short output: keep everything");
         // A trailing partial line is never included.
         assert_eq!(prefix_of(b"1:5\n2:4", 99), b"1:5\n");
-    }
-
-    #[test]
-    fn fnv_distinguishes_and_is_stable() {
-        assert_ne!(fnv(b"1:5\n"), fnv(b"1:6\n"));
-        assert_eq!(fnv(b""), 0xcbf2_9ce4_8422_2325, "FNV offset basis");
-        assert_eq!(fnv(b"1:5\n"), fnv(b"1:5\n"));
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn deterministic_campaign_covers_the_fault_matrix() {
     );
 
     // The remix seeds extend the matrix with a query dimension: every
-    // query variant (identity, closed postfilter, top-k) must appear,
+    // query variant (identity, closed filter, top-k) must appear,
     // and non-identity queries must meet more than one fault site.
     let queries: BTreeSet<String> = (0..CAMPAIGN_SEEDS)
         .map(|seed| Case::from_seed(seed).query.label())

@@ -83,15 +83,14 @@ const BIN_MAGIC: &[u8; 8] = b"FPMDB\x00\x00\x01";
 /// the dataset cache: parsing multi-hundred-megabyte `.dat` text on
 /// every bench run would dominate the harness).
 pub fn write_bin<W: Write>(writer: W, db: &TransactionDb) -> io::Result<()> {
-    use bytes::BufMut;
     let mut w = BufWriter::new(writer);
     w.write_all(BIN_MAGIC)?;
-    let mut buf = bytes::BytesMut::with_capacity(db.nnz() as usize * 4 + db.len() * 4 + 8);
-    buf.put_u64_le(db.len() as u64);
+    let mut buf = Vec::with_capacity(db.nnz() as usize * 4 + db.len() * 4 + 8);
+    buf.extend_from_slice(&(db.len() as u64).to_le_bytes());
     for t in db.transactions() {
-        buf.put_u32_le(t.len() as u32);
+        buf.extend_from_slice(&(t.len() as u32).to_le_bytes());
         for &i in t {
-            buf.put_u32_le(i);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
     }
     w.write_all(&buf)?;
@@ -125,10 +124,14 @@ pub fn read_bin<R: Read>(mut reader: R) -> io::Result<TransactionDb> {
         let hi = take_u32(&mut at)? as u64;
         lo | hi << 32
     };
-    let mut transactions = Vec::with_capacity(n as usize);
+    // The header counts are untrusted: cap each reservation by what the
+    // remaining bytes could hold (4 per length word or item), so a
+    // corrupt count ends in `UnexpectedEof` rather than an allocation
+    // failure.
+    let mut transactions = Vec::with_capacity(n.min((data.len() / 4) as u64) as usize);
     for _ in 0..n {
         let len = take_u32(&mut at)? as usize;
-        let mut t = Vec::with_capacity(len);
+        let mut t = Vec::with_capacity(len.min((data.len() - at) / 4));
         for _ in 0..len {
             t.push(take_u32(&mut at)?);
         }
@@ -232,11 +235,23 @@ mod tests {
     #[test]
     fn bin_rejects_truncation() {
         let db = TransactionDb::from_transactions(vec![vec![1, 2, 3]]);
-        let mut buf = Vec::new();
-        write_bin(&mut buf, &db).unwrap();
-        buf.truncate(buf.len() - 2);
-        let err = read_bin(buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let mut cut = Vec::new();
+        write_bin(&mut cut, &db).unwrap();
+        cut.truncate(cut.len() - 2);
+        // Corrupt headers whose counts no remaining bytes back: 2^40
+        // transactions, and one transaction of u32::MAX items. Neither
+        // may size an allocation from the claim.
+        let header = |n: u64, len: u32, body: &[u8]| {
+            let mut buf = BIN_MAGIC.to_vec();
+            buf.extend_from_slice(&n.to_le_bytes());
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf.extend_from_slice(body);
+            buf
+        };
+        for buf in [cut, header(1 << 40, 3, &[]), header(1, u32::MAX, &[7, 0, 0, 0, 9, 0, 0, 0])] {
+            let err = read_bin(buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
     }
 
     #[test]

@@ -26,12 +26,12 @@ pub mod control;
 pub mod db;
 pub mod exec;
 pub mod faults;
+pub mod hash;
 pub mod hmine;
 pub mod horizontal;
 pub mod io;
 pub mod metrics;
 pub mod naive;
-pub mod postfilter;
 pub mod query;
 pub mod remap;
 pub mod sink;

@@ -51,10 +51,9 @@ impl RuleSpec {
 /// Which slice of the frequent set a caller wants.
 ///
 /// The default query (`All`, no top-k, no rules) is the identity — the
-/// executor's streaming fast path — and encodes as [`code`] 0 so
-/// pre-query cache keys and artifacts stay meaningful.
-///
-/// [`code`]: PatternQuery::code
+/// executor's streaming fast path — and its key is the all-zero
+/// [`QueryKey::default`], so pre-query cache keys and artifacts stay
+/// meaningful.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternQuery {
     /// Pattern class: every frequent itemset, only closed, only maximal.
@@ -141,12 +140,10 @@ impl PatternQuery {
     }
 
     /// The stable canonical byte encoding — the on-disk query tag
-    /// (store results section) and the input to [`code`].
+    /// (store results section).
     ///
     /// Layout: class code `u8`, top-k flag `u8` (+ `u64` LE when set),
     /// rules flag `u8` (+ two `f64` bit patterns LE when set).
-    ///
-    /// [`code`]: PatternQuery::code
     pub fn encode(&self) -> Vec<u8> {
         let mut out = vec![self.class.code()];
         match self.top_k {
@@ -198,21 +195,6 @@ impl PatternQuery {
             return None;
         }
         Some(PatternQuery { class, top_k, rules })
-    }
-
-    /// A stable 64-bit digest of the canonical encoding (FNV-1a), with
-    /// the identity query pinned to `0` — the display/bench form of the
-    /// key, mirroring [`Kernel::code`](crate::Kernel::code) in spirit.
-    pub fn code(&self) -> u64 {
-        if self.is_all() {
-            return 0;
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.encode() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
     }
 
     /// A compact human-readable label, e.g. `closed+top10+rules(c0.6,l1.2)`.
@@ -659,7 +641,7 @@ mod tests {
     fn default_query_is_identity() {
         let q = PatternQuery::default();
         assert!(q.is_all());
-        assert_eq!(q.code(), 0);
+        assert_eq!(q.key(), QueryKey::default());
         let all = naive::mine(&toy(), 2);
         assert_eq!(q.apply(all.clone(), 5), all);
     }
@@ -675,15 +657,15 @@ mod tests {
                 .rules(RuleSpec { min_confidence: 0.6, min_lift: 1.1 }),
             PatternQuery::all().rules(RuleSpec::confidence(0.9)),
         ];
-        let mut codes = Vec::new();
+        let mut keys = Vec::new();
         for q in queries {
             assert_eq!(PatternQuery::from_key(q.key()), Some(q), "{}", q.label());
             assert_eq!(PatternQuery::decode(&q.encode()), Some(q), "{}", q.label());
-            codes.push(q.code());
+            keys.push(q.key());
         }
-        codes.sort_unstable();
-        codes.dedup();
-        assert_eq!(codes.len(), queries.len(), "codes must be distinct");
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), queries.len(), "keys must be distinct");
     }
 
     #[test]
@@ -704,20 +686,33 @@ mod tests {
         assert_eq!(PatternQuery::from_key(QueryKey { class: 7, ..QueryKey::default() }), None);
     }
 
+    /// Whether `sub` is a subsequence of `seq` (same items, same order).
+    fn is_subsequence(sub: &[ItemsetCount], seq: &[ItemsetCount]) -> bool {
+        let mut it = seq.iter();
+        sub.iter().all(|p| it.any(|q| q == p))
+    }
+
     #[test]
     fn trie_filters_match_naive_oracle() {
         for minsup in 1..=4u64 {
             let all = naive::mine(&toy(), minsup);
+            let c = closed(all.clone());
+            let m = maximal(all.clone());
             assert_eq!(
-                canonicalize(closed(all.clone())),
+                canonicalize(c.clone()),
                 canonicalize(naive::mine_kind(&toy(), minsup, MineKind::Closed)),
                 "closed minsup={minsup}"
             );
             assert_eq!(
-                canonicalize(maximal(all)),
+                canonicalize(m.clone()),
                 canonicalize(naive::mine_kind(&toy(), minsup, MineKind::Maximal)),
                 "maximal minsup={minsup}"
             );
+            // maximal ⊆ closed ⊆ all, each filter keeping its survivors
+            // in serial input order — the executor's byte-identity
+            // depends on it.
+            assert!(is_subsequence(&c, &all), "closed keeps input order, minsup={minsup}");
+            assert!(is_subsequence(&m, &c), "maximal keeps input order, minsup={minsup}");
         }
     }
 
@@ -896,6 +891,13 @@ mod tests {
     fn empty_inputs() {
         assert!(closed(vec![]).is_empty());
         assert!(maximal(vec![]).is_empty());
+        // Singletons only: no itemset has a superset, so all survive.
+        let singletons = vec![
+            ItemsetCount { items: vec![0], support: 3 },
+            ItemsetCount { items: vec![1], support: 2 },
+        ];
+        assert_eq!(closed(singletons.clone()), singletons);
+        assert_eq!(maximal(singletons.clone()), singletons);
         assert!(PatternQuery::all().top_k(5).apply(vec![], 10).is_empty());
         assert!(rules(&[], 10, &RuleSpec::confidence(0.0)).is_empty());
     }

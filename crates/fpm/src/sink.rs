@@ -80,16 +80,14 @@ impl PatternSink for StatsSink {
         self.support_sum += support;
         self.len_sum += itemset.len() as u64;
         self.max_len = self.max_len.max(itemset.len());
-        // FNV over the sorted itemset, combined commutatively (wrapping
-        // add) so emission order is irrelevant.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        // Word-wise FNV over the sorted itemset, combined commutatively
+        // (wrapping add) so emission order is irrelevant.
+        let mut h = crate::hash::Fnv::new();
         for &i in itemset {
-            h ^= i as u64 + 1;
-            h = h.wrapping_mul(0x100_0000_01b3);
+            h.word(i as u64 + 1);
         }
-        h ^= support;
-        h = h.wrapping_mul(0x100_0000_01b3);
-        self.hash = self.hash.wrapping_add(h);
+        h.word(support);
+        self.hash = self.hash.wrapping_add(h.finish());
     }
 }
 
@@ -322,6 +320,15 @@ mod tests {
         c.emit(&[3], 3); // different support
         c.emit(&[1, 2], 5);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn stats_sink_hash_is_pinned() {
+        let mut s = StatsSink::default();
+        s.emit(&[1, 2, 3], 5);
+        s.emit(&[], 9);
+        s.emit(&[7], 2);
+        assert_eq!(s.hash, 0x4d83_60e4_8a31_6a78);
     }
 
     #[test]

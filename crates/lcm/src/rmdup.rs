@@ -29,15 +29,14 @@ pub enum BucketImpl {
     Aggregated,
 }
 
-/// FNV-1a over a transaction's items — the bucket key.
+/// Word-wise FNV-1a over a transaction's items — the bucket key.
 #[inline]
 fn hash_items(items: &[u32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = fpm::hash::Fnv::new();
     for &i in items {
-        h ^= i as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h.word(u64::from(i));
     }
-    h
+    h.finish()
 }
 
 /// Merges identical transactions: returns the deduplicated headers in
@@ -169,6 +168,12 @@ mod tests {
     use super::*;
     use crate::projdb::ProjDb;
     use memsim::NullProbe;
+
+    #[test]
+    fn bucket_hash_is_pinned() {
+        assert_eq!(hash_items(&[1, 2, 3]), 0xd0aa_6218_672c_f5ab);
+        assert_eq!(hash_items(&[]), fpm::hash::OFFSET);
+    }
 
     fn heads_of(transactions: &[Vec<u32>]) -> (Vec<u32>, Vec<TransHead>) {
         let db = ProjDb::from_ranked(transactions);

@@ -31,10 +31,9 @@
 //! [`TaskPanic`] (task index + payload), the failed task's result slot
 //! stays `None` — explicitly incomplete, so a prefix replay can never
 //! treat it as finished — and every worker abandons its remaining queue.
-//! [`run_with_state_until_settled`] hands the failure back as a value;
-//! [`run_with_state_until`] and [`run_with_state`] re-raise the payload on
-//! the calling thread via [`std::panic::resume_unwind`] after the join, so
-//! propagation can never deadlock.
+//! The one driver, [`run_with_state_until_settled`], hands the failure
+//! back as a value after the join, so a panic can never deadlock the pool
+//! or unwind across the mining API.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -121,8 +120,7 @@ impl ParConfig {
 type Deque<T> = Mutex<VecDeque<(usize, T)>>;
 
 /// Locks a deque, ignoring poisoning: a panicked sibling can only leave
-/// the deque in a consistent state (push/pop are single operations), and
-/// the panic itself is re-raised after the join.
+/// the deque in a consistent state (push/pop are single operations).
 fn lock<T>(q: &Deque<T>) -> std::sync::MutexGuard<'_, VecDeque<(usize, T)>> {
     q.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -169,106 +167,37 @@ fn steal_batch<T>(
 }
 
 /// Runs `f` over every task on a work-stealing pool and returns the
-/// results **in task order**, regardless of which worker ran what.
+/// results **in task order**, regardless of which worker ran what, plus
+/// the first task panic if one occurred.
 ///
-/// Convenience wrapper over [`run_with_state`] for stateless workers.
-pub fn run_tasks<T, R, F>(tasks: Vec<T>, par: &ParConfig, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    run_with_state(tasks, par, |_worker| (), |(), task| f(task))
-}
-
-/// Runs `f` over every task on a work-stealing pool, giving each worker a
-/// private state value built by `init` (a per-worker sink, scratch miner,
-/// …) that is reused across all tasks that worker executes. Returns the
-/// results **in task order**.
-///
+/// Each worker gets a private state value built by `init` (a per-worker
+/// sink, scratch miner, …) and reuses it across all tasks it executes;
 /// `init` receives the worker index (0-based). Results are deterministic
 /// in the task list: the merge re-slots each `(task_index, result)` pair
 /// after the join, so neither the thread count nor steal timing can
 /// reorder output.
 ///
-/// # Panics
-///
-/// Re-raises the first worker panic on the calling thread after all
-/// workers have been joined. Workers never wait on each other, so a panic
-/// cannot deadlock the pool.
-pub fn run_with_state<T, S, R, I, F>(tasks: Vec<T>, par: &ParConfig, init: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    run_with_state_until(tasks, par, || false, init, f)
-        .into_iter()
-        // Unreachable: with the constant `false` stop predicate every
-        // slot is filled on return (a task panic re-raises out of the
-        // scheduler before this map runs).
-        // also-lint: allow(panic-path)
-        .map(|r| r.expect("scheduler completed with an unexecuted task"))
-        .collect()
-}
-
-/// [`run_with_state`] with a cooperative stop predicate — the
-/// cancellation hook of the serve layer.
-///
-/// Every worker polls `stop()` before executing each task and before
-/// scanning victims to steal; once it returns `true`, workers finish the
-/// task they are on, abandon everything still queued, and join. The
-/// result vector therefore has `Some` in the slot of every task that ran
-/// and `None` for the abandoned ones. `stop` must be monotonic (once
-/// `true`, stays `true`) — `fpm`'s `MineControl::should_stop` is, and it
-/// is the intended predicate: pass `|| control.should_stop()`.
-///
+/// `stop` is the cooperative cancellation hook. Every worker polls it
+/// before executing each task and before scanning victims to steal; once
+/// it returns `true`, workers finish the task they are on, abandon
+/// everything still queued, and join. The slot of every task that ran
+/// holds `Some`, the abandoned ones `None`. `stop` must be monotonic
+/// (once `true`, stays `true`) — `fpm`'s `MineControl::should_stop` is,
+/// and it is the intended predicate: pass `|| control.should_stop()`.
 /// Which tasks are abandoned depends on steal timing and is *not*
 /// deterministic; callers that need a deterministic output (the kernels'
-/// controlled parallel drivers) must handle that at merge time — e.g.
-/// replay completed task buffers in rank order only up to the first
-/// incomplete task.
+/// controlled parallel drivers) replay completed task buffers in rank
+/// order only up to the first incomplete task.
 ///
-/// # Panics
-///
-/// Re-raises the first task panic on the calling thread after the join
-/// (see [`run_with_state_until_settled`] for the non-raising form).
-pub fn run_with_state_until<T, S, R, C, I, F>(
-    tasks: Vec<T>,
-    par: &ParConfig,
-    stop: C,
-    init: I,
-    f: F,
-) -> Vec<Option<R>>
-where
-    T: Send,
-    R: Send,
-    C: Fn() -> bool + Sync,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let (slots, panic) = run_with_state_until_settled(tasks, par, stop, init, f);
-    if let Some(p) = panic {
-        std::panic::resume_unwind(p.payload);
-    }
-    slots
-}
-
-/// [`run_with_state_until`] that *settles* instead of unwinding: a task
-/// panic is caught at the task boundary and returned as a value.
-///
-/// On the first panic, the failed task's slot is left `None` —
-/// explicitly incomplete, so `replay_merged_prefix` can never replay a
-/// task that did not finish — every worker abandons its remaining
-/// queue, and the `(task index, payload)` pair comes back as the second
-/// tuple element. Completed sibling results (including tasks *after*
-/// the failed index that finished before the failure was observed) keep
-/// their slots, exactly like a cooperative stop.
-///
-/// This is the executor's entry point: `fpm-exec` converts the returned
-/// failure into a `StopCause::TaskPanicked` summary rather than letting
-/// the unwind cross the mining API boundary.
+/// A task panic *settles* instead of unwinding: it is caught at the task
+/// boundary, the failed task's slot is left `None` — explicitly
+/// incomplete, so `replay_merged_prefix` can never replay a task that
+/// did not finish — every worker abandons its remaining queue, and the
+/// `(task index, payload)` pair comes back as the second tuple element.
+/// Completed sibling results (including tasks *after* the failed index
+/// that finished before the failure was observed) keep their slots,
+/// exactly like a cooperative stop. `fpm-exec` converts the failure into
+/// a `StopCause::TaskPanicked` summary.
 pub fn run_with_state_until_settled<T, S, R, C, I, F>(
     tasks: Vec<T>,
     par: &ParConfig,
@@ -453,13 +382,29 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Runs every task through the driver with no stop predicate and no
+    /// worker state, asserting that nothing panicked and every slot is
+    /// filled.
+    fn run_all<T: Send, R: Send>(
+        tasks: Vec<T>,
+        par: &ParConfig,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        let (slots, panic) =
+            run_with_state_until_settled(tasks, par, || false, |_w| (), |(), t| f(t));
+        assert!(panic.is_none(), "unexpected task panic: {panic:?}");
+        slots
+            .into_iter()
+            .map(|r| r.expect("every task runs without a stop"))
+            .collect()
+    }
 
     #[test]
     fn empty_task_list_returns_empty() {
         for threads in [1, 4] {
-            let out = run_tasks(
+            let out = run_all(
                 Vec::<u32>::new(),
                 &ParConfig::with_threads(threads),
                 |x| x * 2,
@@ -471,7 +416,7 @@ mod tests {
     #[test]
     fn single_task_single_result() {
         for threads in [1, 2, 8] {
-            let out = run_tasks(vec![21u64], &ParConfig::with_threads(threads), |x| x * 2);
+            let out = run_all(vec![21u64], &ParConfig::with_threads(threads), |x| x * 2);
             assert_eq!(out, vec![42]);
         }
     }
@@ -479,7 +424,7 @@ mod tests {
     #[test]
     fn more_threads_than_tasks() {
         // 7 threads, 3 tasks: effective pool clamps to 3, all complete.
-        let out = run_tasks(vec![1, 2, 3], &ParConfig::with_threads(7), |x| x + 10);
+        let out = run_all(vec![1, 2, 3], &ParConfig::with_threads(7), |x| x + 10);
         assert_eq!(out, vec![11, 12, 13]);
     }
 
@@ -492,7 +437,7 @@ mod tests {
                 n_threads: threads,
                 steal_granularity: 1 + threads % 3,
             };
-            let out = run_tasks(tasks.clone(), &cfg, |x| x * x);
+            let out = run_all(tasks.clone(), &cfg, |x| x * x);
             assert_eq!(out, expect, "threads={threads}");
         }
     }
@@ -503,7 +448,7 @@ mod tests {
         // other workers run dry and must steal to finish. Completion of
         // all tasks in order proves the steal path terminates correctly.
         let tasks: Vec<u64> = (0..64).collect();
-        let out = run_tasks(tasks, &ParConfig::with_threads(4), |x| {
+        let out = run_all(tasks, &ParConfig::with_threads(4), |x| {
             if x == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(30));
             }
@@ -518,9 +463,10 @@ mod tests {
         // count without any cross-worker interference.
         let grand_total = AtomicUsize::new(0);
         let n = 100;
-        let out = run_with_state(
+        let (out, panic) = run_with_state_until_settled(
             (0..n).collect::<Vec<usize>>(),
             &ParConfig::with_threads(4),
+            || false,
             |_w| 0usize,
             |local, task| {
                 *local += 1;
@@ -528,34 +474,9 @@ mod tests {
                 task
             },
         );
-        assert_eq!(out, (0..n).collect::<Vec<usize>>());
+        assert!(panic.is_none());
+        assert_eq!(out, (0..n).map(Some).collect::<Vec<_>>());
         assert_eq!(grand_total.load(Ordering::Relaxed), n);
-    }
-
-    #[test]
-    fn panicking_task_propagates_instead_of_deadlocking() {
-        for threads in [1, 4] {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_tasks(
-                    (0..32u32).collect::<Vec<u32>>(),
-                    &ParConfig::with_threads(threads),
-                    |x| {
-                        if x == 13 {
-                            panic!("boom at task 13");
-                        }
-                        x
-                    },
-                )
-            }));
-            let payload = result.expect_err("panic must propagate to the caller");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .map(String::from)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            assert!(msg.contains("boom"), "threads={threads}: payload {msg:?}");
-        }
     }
 
     #[test]
@@ -671,7 +592,7 @@ mod tests {
             );
         }
         // And the scheduler accepts the degenerate call outright.
-        let out = run_tasks(Vec::<u8>::new(), &ParConfig::default(), |x| x);
+        let out = run_all(Vec::<u8>::new(), &ParConfig::default(), |x| x);
         assert!(out.is_empty());
     }
 
@@ -680,7 +601,7 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         for threads in [1usize, 4] {
             let hit = AtomicBool::new(false);
-            let out = run_with_state_until(
+            let (out, _) = run_with_state_until_settled(
                 (0..128u32).collect::<Vec<u32>>(),
                 &ParConfig::with_threads(threads),
                 || hit.load(Ordering::Relaxed),
@@ -706,7 +627,7 @@ mod tests {
 
     #[test]
     fn never_stopping_predicate_runs_everything() {
-        let out = run_with_state_until(
+        let (out, _) = run_with_state_until_settled(
             (0..64u32).collect::<Vec<u32>>(),
             &ParConfig::with_threads(3),
             || false,
@@ -722,7 +643,7 @@ mod tests {
     #[test]
     fn pre_tripped_stop_runs_nothing() {
         for threads in [1usize, 4] {
-            let out = run_with_state_until(
+            let (out, _) = run_with_state_until_settled(
                 (0..32u32).collect::<Vec<u32>>(),
                 &ParConfig::with_threads(threads),
                 || true,

@@ -28,7 +28,7 @@
 //! the *verification* re-hashes the list behind the cloned `Arc`, which
 //! is immutable, so it needs no lock at all. The service shares each
 //! shard's cache behind a `Mutex` and probes it through
-//! [`probe_shared`]: the lock covers the lookup only, and verification
+//! `probe_shared`: the lock covers the lookup only, and verification
 //! runs after it is released, so a hit on a large result no longer
 //! stalls every other request of the shard. A corrupt entry is dropped
 //! under a second short lock, and only if the slot still holds the same
@@ -60,8 +60,8 @@ const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Distinct start states, so no two lanes hash a stream alike.
 const LANE_SEEDS: [u64; 4] = [
-    0xcbf2_9ce4_8422_2325,
-    0x8422_2325_cbf2_9ce4,
+    fpm::hash::OFFSET,
+    fpm::hash::OFFSET.rotate_left(32),
     0x2545_f491_4f6c_dd1d,
     0x4f6c_dd1d_2545_f491,
 ];
@@ -218,7 +218,7 @@ struct Entry {
 
 /// A bounded LRU map from [`CacheKey`] to a complete pattern list.
 /// Not internally synchronized — the service wraps it in a `Mutex`
-/// and probes it through [`probe_shared`].
+/// and probes it through `probe_shared`.
 pub struct ResultCache {
     cfg: CacheConfig,
     clock: u64,

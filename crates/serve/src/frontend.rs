@@ -1,34 +1,29 @@
 //! Wire frontends: the line-delimited JSON protocol over any
-//! reader/writer pair, a thread-per-connection TCP acceptor, an
-//! event-driven non-blocking TCP poll loop, and a stdin/stdout binding.
+//! reader/writer pair, an event-driven non-blocking TCP poll loop, and a
+//! stdin/stdout binding.
 //!
 //! One request per line, one response line per request, in order. A
 //! malformed line gets a `rejected` response (with the parse error as
 //! the reason) and the connection stays up — one bad client line must
 //! not take down a batch.
 //!
-//! Two TCP modes share that protocol:
-//!
-//! * [`serve_tcp`] — one thread per connection, blocking I/O. Simple,
-//!   and fine for a handful of long-lived pipelined clients.
-//! * [`serve_poll`] — **one** frontend thread multiplexing every
-//!   connection with non-blocking sockets and per-connection state
-//!   machines. Requests are submitted as [`Ticket`]s and polled with
-//!   [`Ticket::try_wait`], so a slow mining run never parks the
-//!   frontend. The loop makes one pass over every connection per
-//!   500 µs tick, on a fixed grid, so a request's latency over the
-//!   wire is its service time rounded up to whole ticks rather than a
-//!   function of how the host schedules the threads. Meanwhile it
-//!   enforces the *outer* tiers of the admission policy — a connection
-//!   cap (refused connections get one rejection line) and a per-client
-//!   in-flight quota (excess lines get rejection responses) — before
-//!   the service's own queue-depth and Geerts-bound tiers even see the
-//!   request.
+//! The TCP frontend, [`serve_poll`], is **one** thread multiplexing
+//! every connection with non-blocking sockets and per-connection state
+//! machines. Requests are submitted as [`Ticket`]s and polled with
+//! [`Ticket::try_wait`], so a slow mining run never parks the frontend.
+//! The loop makes one pass over every connection per 500 µs tick, on a
+//! fixed grid, so a request's latency over the wire is its service time
+//! rounded up to whole ticks rather than a function of how the host
+//! schedules the threads. Meanwhile it enforces the *outer* tiers of the
+//! admission policy — a connection cap (refused connections get one
+//! rejection line) and a per-client in-flight quota (excess lines get
+//! rejection responses) — before the service's own queue-depth and
+//! Geerts-bound tiers even see the request.
 
 use crate::request::{parse_request, render_response, MineResponse, MineStats};
 use crate::service::{MineService, Ticket};
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -69,42 +64,6 @@ pub fn serve_lines<R: BufRead, W: Write>(
         output.flush()?;
     }
     Ok(())
-}
-
-/// Serves one TCP connection with the line protocol.
-pub fn serve_connection(service: &MineService, stream: TcpStream) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
-    serve_lines(service, reader, stream)
-}
-
-/// Accept loop: one thread per connection, all sharing `service` (and
-/// therefore its queue, cache, and metrics). `max_conns` bounds how
-/// many connections are accepted before returning — `None` serves
-/// forever; tests and the CI batch job pass `Some(1)`.
-pub fn serve_tcp(
-    service: &MineService,
-    listener: TcpListener,
-    max_conns: Option<usize>,
-) -> io::Result<()> {
-    std::thread::scope(|scope| {
-        for (accepted, stream) in listener.incoming().enumerate() {
-            let stream = stream?;
-            // One response line per request: send it now instead of
-            // letting Nagle hold it for the client's delayed ACK. Best
-            // effort — the option only costs latency, never correctness.
-            let _ = stream.set_nodelay(true);
-            let service = service.clone();
-            scope.spawn(move || {
-                // Per-connection I/O errors (client hangup) end that
-                // connection only.
-                let _ = serve_connection(&service, stream);
-            });
-            if max_conns.is_some_and(|m| accepted + 1 >= m) {
-                break;
-            }
-        }
-        Ok(())
-    })
 }
 
 /// Binds the line protocol to stdin/stdout: the `fpm-mine serve --stdio`
@@ -184,7 +143,9 @@ struct Conn {
 impl Conn {
     fn new(stream: TcpStream) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
-        // As in `serve_tcp`: responses leave without waiting on Nagle.
+        // One response line per request: send it now instead of letting
+        // Nagle hold it for the client's delayed ACK. Best effort — the
+        // option only costs latency, never correctness.
         let _ = stream.set_nodelay(true);
         Ok(Conn {
             stream,
@@ -484,7 +445,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let svc2 = svc.clone();
-        let server = std::thread::spawn(move || serve_tcp(&svc2, listener, Some(1)));
+        let server = std::thread::spawn(move || {
+            serve_poll(&svc2, listener, FrontendConfig::default(), Some(1))
+        });
 
         let mut stream = TcpStream::connect(addr).unwrap();
         let batch = format!("{}\n{}\n", toy_line("lcm", ""), toy_line("fpgrowth", ""));

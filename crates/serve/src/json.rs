@@ -1,7 +1,6 @@
 //! Minimal line-oriented JSON — parser and printer.
 //!
-//! The workspace builds offline against vendored dependency stand-ins
-//! (`vendor/serde` is an API stub with no real serialization), so the
+//! The workspace builds offline with no serialization crate, so the
 //! wire protocol hand-rolls the small JSON subset it needs: objects,
 //! arrays, strings, numbers, booleans, null. Objects are backed by a
 //! `Vec<(String, Json)>` — insertion-ordered, so rendering is

@@ -81,7 +81,7 @@ impl Default for LoadConfig {
 
 /// The pattern queries `--query-mix` rotates over: identity first (so a
 /// mix of 1 is exactly the pre-query traffic), then the closed and
-/// maximal postfilters and a top-k selection.
+/// maximal set-trie filters and a top-k selection.
 pub fn query_palette() -> [PatternQuery; 4] {
     [
         PatternQuery::all(),
@@ -177,19 +177,13 @@ pub fn schedule(cfg: &LoadConfig) -> Vec<Arrival> {
 /// FNV-1a digest of a schedule — the conformance suite's witness that
 /// two runs offered bit-identical traffic.
 pub fn schedule_digest(arrivals: &[Arrival]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = fpm::hash::Fnv::new();
     for a in arrivals {
-        eat(a.at_us);
-        eat(a.key as u64);
-        eat(a.query as u64);
+        h.u64_le(a.at_us);
+        h.u64_le(a.key as u64);
+        h.u64_le(a.query as u64);
     }
-    h
+    h.finish()
 }
 
 /// What one load run did. The *count* fields are deterministic for a
@@ -444,6 +438,22 @@ mod tests {
             schedule_digest(&other),
             "a different seed must offer different traffic"
         );
+    }
+
+    #[test]
+    fn committed_bench_config_digest_is_pinned() {
+        // The `BENCH_serve.json` config: `--seed 1 --rps 400
+        // --duration-ms 2000 --keys 16 --skew 1.0 --query-mix 4`.
+        let cfg = LoadConfig {
+            seed: 1,
+            rps: 400.0,
+            duration: Duration::from_millis(2000),
+            keys: 16,
+            skew: 1.0,
+            query_mix: 4,
+            ..LoadConfig::default()
+        };
+        assert_eq!(schedule_digest(&schedule(&cfg)), 0xcbdb_e64a_1e97_9976);
     }
 
     #[test]

@@ -71,6 +71,7 @@ use crate::cache::{fingerprint, probe_shared, CacheConfig, CacheKey, Lookup, Res
 use crate::request::{DatasetSpec, Kernel, MineRequest, MineResponse, MineStats, Outcome};
 use exec::MinePlan;
 use fpm::control::{MineControl, StopCause};
+use fpm::hash::{fnv, Fnv};
 use fpm::metrics::MetricSet;
 use fpm::{CollectSink, ItemsetCount, QueryKey, TransactionDb};
 use std::collections::{BTreeMap, VecDeque};
@@ -528,36 +529,28 @@ impl MineService {
 /// resolution) and deterministic, so the same spec always routes to the
 /// same shard in every process.
 fn spec_hash(spec: &DatasetSpec) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat_bytes = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv::new();
     match spec {
         DatasetSpec::Inline(rows) => {
-            eat_bytes(b"inline");
+            h.bytes(b"inline");
             for row in rows {
-                eat_bytes(&(row.len() as u64).to_le_bytes());
+                h.u64_le(row.len() as u64);
                 for &item in row {
-                    eat_bytes(&item.to_le_bytes());
+                    h.bytes(&item.to_le_bytes());
                 }
             }
         }
         DatasetSpec::Named { dataset, scale } => {
-            eat_bytes(b"named");
-            eat_bytes(dataset.label().as_bytes());
-            eat_bytes(&(scale.factor() as u64).to_le_bytes());
+            h.bytes(b"named");
+            h.bytes(dataset.label().as_bytes());
+            h.u64_le(scale.factor() as u64);
         }
         DatasetSpec::Path(path) => {
-            eat_bytes(b"path");
-            eat_bytes(path.as_bytes());
+            h.bytes(b"path");
+            h.bytes(path.as_bytes());
         }
     }
-    h
+    h.finish()
 }
 
 /// The shard `spec` routes to, for a pool of `shards` shards.
@@ -943,15 +936,8 @@ fn named_stem(dataset: &quest::Dataset, scale: &quest::Scale) -> String {
 /// (its spec — and therefore its routing shard — is unreadable): hash
 /// the file stem the same FNV-then-mix way specs are routed.
 fn stem_shard(path: &Path, shards: usize) -> usize {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-    for &b in stem.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    (fpm::faults::mix(h) % shards.max(1) as u64) as usize
+    (fpm::faults::mix(fnv(stem.as_bytes())) % shards.max(1) as u64) as usize
 }
 
 /// Boot-time warm start: scan `dir`, and for every artifact that loads
@@ -1543,6 +1529,33 @@ mod tests {
             "32 distinct datasets must spread over more than one shard: {first:?}"
         );
         svc.shutdown();
+    }
+
+    #[test]
+    fn spec_hash_and_shard_routing_are_pinned() {
+        // Known answers: routing decides which shard's cache and
+        // artifacts a dataset lives in, so it must not move between
+        // releases.
+        use quest::{Dataset, Scale};
+        let named = |dataset| DatasetSpec::Named { dataset, scale: Scale::Smoke };
+        let pins = [
+            (named(Dataset::Ds1), 0x2ae1_fde3_de09_e8be, 0, 2),
+            (named(Dataset::Ds2), 0x638c_2975_be7d_08e3, 1, 3),
+            (named(Dataset::Ds3), 0x4d85_589d_a187_2350, 0, 2),
+            (named(Dataset::Ds4), 0x70a2_fdcb_2039_0685, 0, 2),
+            (DatasetSpec::Inline(vec![vec![1, 2], vec![3]]), 0x21e0_bd38_4ec3_59c7, 1, 3),
+            (DatasetSpec::Path("data/x.dat".into()), 0x01ae_51d5_b5f7_7f76, 0, 0),
+        ];
+        for (spec, hash, at2, at4) in pins {
+            assert_eq!(spec_hash(&spec), hash, "{spec:?}");
+            assert_eq!(shard_of(&spec, 2), at2, "{spec:?} at 2 shards");
+            assert_eq!(shard_of(&spec, 4), at4, "{spec:?} at 4 shards");
+        }
+        for (stem, at3, at4, at7) in [("named-ds1-smoke", 0, 2, 4), ("x", 2, 3, 2), ("", 1, 0, 1)] {
+            let path = PathBuf::from(format!("{stem}.fpa"));
+            let got = [3, 4, 7].map(|n| stem_shard(&path, n));
+            assert_eq!(got, [at3, at4, at7], "stem {stem:?}");
+        }
     }
 
     #[test]

@@ -139,23 +139,15 @@ impl std::error::Error for LoadError {}
 /// raw section and then used as a cache key as-is. Artifacts persist
 /// the value: the function must not change.
 pub fn fingerprint(db: &TransactionDb) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(db.len() as u64);
+    let mut h = fpm::hash::Fnv::new();
+    h.u64_le(db.len() as u64);
     for t in db.transactions() {
-        eat(t.len() as u64);
+        h.u64_le(t.len() as u64);
         for &item in t {
-            eat(item as u64);
+            h.u64_le(u64::from(item));
         }
     }
-    h
+    h.finish()
 }
 
 /// How the dataset behind an artifact was specified.

@@ -12,7 +12,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Modules on the emission/merge path, where iteration order becomes
-/// output order: pattern sinks, the closed/maximal post-filter, the
+/// output order: pattern sinks, the pattern-query filters, the
 /// parallel runtime's merge, the plan executor (whose driver owns the
 /// rank-ordered prefix replay), and the whole serve layer (its cache
 /// eviction, response rendering, and prefix merge all feed
@@ -23,7 +23,6 @@ use std::path::{Path, PathBuf};
 /// guarantee, so R3 (deterministic-iteration) applies to them.
 pub const EMISSION_PATHS: &[&str] = &[
     "crates/fpm/src/sink.rs",
-    "crates/fpm/src/postfilter.rs",
     "crates/fpm/src/query.rs",
     "crates/par/src/lib.rs",
     "crates/exec/src/lib.rs",
@@ -280,5 +279,26 @@ mod tests {
         assert!(files.iter().all(|f| !f.starts_with("target/")));
         assert!(files.iter().all(|f| !f.contains("tests/fixtures/")));
         assert!(files.iter().any(|f| f == "crates/also/src/bits.rs"));
+    }
+
+    #[test]
+    fn every_scoped_path_exists() {
+        // A deleted or renamed file would otherwise drop out of its
+        // rule's scope without a word.
+        let root = repo_root();
+        let lists: [(&str, &[&str]); 7] = [
+            ("EMISSION_PATHS", EMISSION_PATHS),
+            ("KERNEL_INTERNAL_PREFIXES", KERNEL_INTERNAL_PREFIXES),
+            ("KERNEL_INTERNAL_FILES", KERNEL_INTERNAL_FILES),
+            ("CHAOS_ZONE_PREFIXES", CHAOS_ZONE_PREFIXES),
+            ("CHAOS_ZONE_FILES", CHAOS_ZONE_FILES),
+            ("LOCKSTEP_PATHS", LOCKSTEP_PATHS),
+            ("PANIC_FREE_PATHS", PANIC_FREE_PATHS),
+        ];
+        for (name, paths) in lists {
+            for p in paths {
+                assert!(root.join(p).exists(), "{name} lists {p}, which does not exist");
+            }
+        }
     }
 }

@@ -174,7 +174,7 @@ fn service_responses_match_the_committed_corpus() {
         assert!(!cold.stats.cache_hit);
         let bytes = render(cold.patterns.as_ref().expect("patterns included"));
         assert_eq!(cold.stats.emitted, want.lines, "{}: pattern count", case.stem());
-        assert_eq!(goldens::fnv(&bytes), want.hash, "{}: cold response digest", case.stem());
+        assert_eq!(fpm::hash::fnv(&bytes), want.hash, "{}: cold response digest", case.stem());
 
         let mut req = MineRequest::new(spec.clone(), kernel, case.minsup);
         req.max_patterns = Some(PREFIX_LINES);
